@@ -47,6 +47,8 @@ import sys
 from repro.errors import FusionError, NotAFusionQueryError
 from repro.io import load_federation, save_federation
 from repro.mediator.session import Mediator
+from repro.obs.events import EventLog
+from repro.obs.spans import SpanLog
 from repro.optimize import (
     FilterOptimizer,
     GreedySJAOptimizer,
@@ -279,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="PATH",
                 default=None,
                 help="write the structured event log of the run to PATH "
-                "as JSON lines (one validated event per line); without "
-                f"PATH, defaults to {DEFAULT_EVENTS_PATH}",
+                "as JSON lines (one validated event per line); the log "
+                f"holds the most recent {EventLog.MAX_EVENTS} events; "
+                f"without PATH, defaults to {DEFAULT_EVENTS_PATH}",
             )
             sub.add_argument(
                 "--deadline",
@@ -414,8 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the service event log (admission, dispatch, "
         "completion, plus engine events under the virtual clock) "
-        "to PATH as JSON lines; without PATH, defaults to "
-        f"{DEFAULT_EVENTS_PATH}",
+        "to PATH as JSON lines; the log is a ring holding the most "
+        f"recent {EventLog.MAX_EVENTS} events; without PATH, defaults "
+        f"to {DEFAULT_EVENTS_PATH}",
     )
     workload.add_argument(
         "--deadline",
@@ -452,8 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the run's span forest as Chrome trace-event JSON "
-        "(loadable in Perfetto / chrome://tracing) to PATH; without "
-        f"PATH, defaults to {DEFAULT_TRACE_PATH}",
+        "(loadable in Perfetto / chrome://tracing) to PATH; the export "
+        f"holds the most recent {SpanLog.MAX_TRACES} whole traces; "
+        f"without PATH, defaults to {DEFAULT_TRACE_PATH}",
     )
     workload.add_argument(
         "--slo",
@@ -499,7 +504,6 @@ def _load_observed_statistics(path: str | None):
     """Mine an ObservedStatistics provider from a recorded event log."""
     if path is None:
         return None
-    from repro.obs import EventLog
     from repro.sources.observed import ObservedStatistics
 
     statistics = ObservedStatistics.from_events(EventLog.read(path))

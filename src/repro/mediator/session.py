@@ -496,8 +496,8 @@ class Mediator:
     ) -> MediatorAnswer:
         runtime_result = None
         resilient = None
-        events_before = (
-            len(self.recorder.events)
+        events_mark = (
+            self.recorder.events.mark()
             if self.recorder is not None and self.recorder.events is not None
             else 0
         )
@@ -536,7 +536,7 @@ class Mediator:
                 optimization.plan, self.cost_model, self.estimator
             )
             execution.profile = QueryProfile.from_events(
-                self.recorder.events.events[events_before:], breakdown
+                self.recorder.events.since(events_mark), breakdown
             )
         verified = None
         if self.verify:

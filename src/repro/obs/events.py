@@ -17,9 +17,12 @@ byte-identical streams.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from dataclasses import dataclass, field
+import threading
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
@@ -234,6 +237,51 @@ def validate_record(record: Mapping[str, Any]) -> None:
             )
 
 
+#: Exact types every value of which passes the field-type check, so
+#: the hot path can skip calling the checker (``list[str]`` has none:
+#: its items need checking too).
+_EXACT_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+
+#: ``type -> (field-name set, ((field, exact type, checker), ...))``,
+#: precompiled from :data:`EVENT_SCHEMA` so :meth:`EventLog.emit`
+#: checks a call's keyword arguments without building and sorting a
+#: record first.
+_COMPILED_SCHEMA: dict[str, tuple[frozenset[str], tuple[tuple[str, Any, Any], ...]]] = {
+    event_type: (
+        frozenset(expected),
+        tuple(
+            (name, _EXACT_TYPES.get(kind), _TYPE_CHECKS[kind])
+            for name, kind in expected.items()
+        ),
+    )
+    for event_type, expected in EVENT_SCHEMA.items()
+}
+
+
+def _check_fields(ts: Any, event_type: str, fields: Mapping[str, Any]) -> None:
+    """:func:`validate_record` over ``(ts, type, **fields)``, same verdict
+    and same message, without materializing the record on success."""
+    compiled = _COMPILED_SCHEMA.get(event_type)
+    if (
+        compiled is not None
+        and (type(ts) is float or _TYPE_CHECKS["float"](ts))
+        and fields.keys() == compiled[0]
+    ):
+        for name, exact, check in compiled[1]:
+            value = fields[name]
+            if type(value) is not exact and not check(value):
+                break
+        else:
+            return
+    record = {"ts": ts, "type": event_type}
+    record.update(fields)
+    validate_record(record)
+    # Only reachable when a field shadows ``ts`` or ``type``.
+    raise ObservabilityError(
+        f"{event_type}: fields may not be named 'ts' or 'type'"
+    )
+
+
 @dataclass(frozen=True)
 class Event:
     """One schema-validated telemetry record on the virtual clock."""
@@ -266,9 +314,20 @@ class Event:
             return default
 
 
-@dataclass
 class EventLog:
-    """An append-only sequence of :class:`Event`, JSONL in and out.
+    """A bounded ring of :class:`Event`, JSONL in and out.
+
+    The log keeps the most recent :attr:`MAX_EVENTS` events; older ones
+    are evicted as new ones arrive.  :attr:`emitted` counts every event
+    ever appended and never decreases, so ``emitted == len(log) +
+    evicted`` always holds and "no append was lost" stays checkable.
+
+    Slicing out what one query emitted uses the monotone count, never
+    ``len(log)`` (which stops growing once the ring is full)::
+
+        mark = log.mark()
+        ...                      # run the query
+        its_events = log.since(mark)
 
     Example:
         >>> log = EventLog()
@@ -278,21 +337,79 @@ class EventLog:
         {"ts":0.0,"type":"breaker","from":"closed","source":"R1","to":"open"}
     """
 
-    events: list[Event] = field(default_factory=list)
+    #: Ring capacity: about a thousand queries' worth of engine events.
+    MAX_EVENTS = 65_536
+
+    def __init__(self) -> None:
+        self._ring: deque[Event] = deque(maxlen=self.MAX_EVENTS)
+        self._emitted = 0
+        self._lock = threading.Lock()
 
     def emit(self, ts: float, event_type: str, **fields: Any) -> Event:
         """Validate and append one event; returns it."""
+        _check_fields(ts, event_type, fields)
         event = Event(ts=float(ts), type=event_type, fields=fields)
-        validate_record(event.to_record())
-        self.events.append(event)
+        self._append(event)
         return event
+
+    def _append(self, event: Event) -> None:
+        with self._lock:
+            self._ring.append(event)
+            self._emitted += 1
+
+    @property
+    def emitted(self) -> int:
+        """Events ever appended (monotone; survives wraps and clears)."""
+        return self._emitted
+
+    @property
+    def evicted(self) -> int:
+        """Events appended but no longer retained."""
+        with self._lock:
+            return self._emitted - len(self._ring)
+
+    @property
+    def events(self) -> list[Event]:
+        """The retained events, oldest first (a copy)."""
+        with self._lock:
+            return list(self._ring)
+
+    def mark(self) -> int:
+        """A position for :meth:`since`: the current emitted count."""
+        return self._emitted
+
+    def since(self, mark: int) -> list[Event]:
+        """Events appended after :meth:`mark` returned ``mark``.
+
+        Raises:
+            ObservabilityError: when some of them were already evicted,
+                so the slice cannot be returned whole.
+        """
+        with self._lock:
+            first_retained = self._emitted - len(self._ring)
+            if mark < first_retained:
+                raise ObservabilityError(
+                    f"events since mark {mark} were evicted (the ring "
+                    f"retains events {first_retained}..{self._emitted})"
+                )
+            # Walk in from the newest end: O(slice), not O(ring).
+            recent = list(
+                itertools.islice(reversed(self._ring), self._emitted - mark)
+            )
+        recent.reverse()
+        return recent
+
+    def clear(self) -> None:
+        """Drop every retained event; they count as evicted."""
+        with self._lock:
+            self._ring.clear()
 
     def of_type(self, *event_types: str) -> list[Event]:
         wanted = set(event_types)
-        return [event for event in self.events if event.type in wanted]
+        return [event for event in self if event.type in wanted]
 
     def to_jsonl(self) -> str:
-        return "\n".join(event.to_json() for event in self.events)
+        return "\n".join(event.to_json() for event in self)
 
     def write(self, path: str) -> str:
         """Persist as JSONL (one record per line); returns ``path``.
@@ -305,7 +422,7 @@ class EventLog:
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events:
+            for event in self:
                 handle.write(event.to_json() + "\n")
         return path
 
@@ -320,7 +437,7 @@ class EventLog:
                 for key, value in record.items()
                 if key not in ("ts", "type")
             }
-            log.events.append(
+            log._append(
                 Event(ts=float(record["ts"]), type=record["type"], fields=fields)
             )
         return log
@@ -348,4 +465,4 @@ class EventLog:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._ring)

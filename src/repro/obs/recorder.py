@@ -27,6 +27,9 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import (
     DURATION_BUCKETS_S,
     SIZE_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
 )
 from repro.obs.spans import (
@@ -103,6 +106,9 @@ class Recorder:
         #: re-plan rounds whose engine clocks each restart at zero.
         self.clock_offset_s = 0.0
         self._trace: _ActiveTrace | None = None
+        #: (registry factory, name, label items) -> metric handle; the
+        #: registry never drops a metric, so a handle stays valid.
+        self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
 
     # ------------------------------------------------------------------
     # Low-level sinks
@@ -115,6 +121,31 @@ class Recorder:
 
     def _now(self, now_s: float) -> float:
         return self.clock_offset_s + now_s
+
+    def _handle(self, factory, name: str, labels: dict):
+        """``factory(name, **labels)``, looked up once per recorder.
+
+        The hot path makes ~150 metric updates per query; caching the
+        handles skips the registry's lock and label-key rebuild on all
+        but the first.  ``factory`` is a bound method of the current
+        registry, so swapping ``self.metrics`` never serves stale
+        handles.
+        """
+        key = (factory, name, *labels.items())
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = factory(name, **labels)
+        return handle
+
+    def _counter(self, name: str, **labels) -> Counter:
+        return self._handle(self.metrics.counter, name, labels)
+
+    def _gauge(self, name: str, **labels) -> Gauge:
+        return self._handle(self.metrics.gauge, name, labels)
+
+    def _histogram(self, name: str, **labels) -> Histogram:
+        """``labels`` may carry ``buckets`` (used at first registration)."""
+        return self._handle(self.metrics.histogram, name, labels)
 
     # ------------------------------------------------------------------
     # Trace context (span recording)
@@ -179,7 +210,7 @@ class Recorder:
             result=result_register,
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_runs_total", backend=backend
             ).inc(now_s=self._now(now_s))
 
@@ -210,10 +241,10 @@ class Recorder:
         )
         if self.metrics is not None:
             stamp = self._now(now_s)
-            self.metrics.gauge("repro_makespan_s").set(
+            self._gauge("repro_makespan_s").set(
                 self.clock_offset_s + makespan_s, now_s=stamp
             )
-            self.metrics.counter("repro_answer_items_total").inc(
+            self._counter("repro_answer_items_total").inc(
                 items, now_s=stamp
             )
 
@@ -233,7 +264,7 @@ class Recorder:
             size=size,
         )
         if self.metrics is not None:
-            self.metrics.histogram(
+            self._histogram(
                 "repro_sendset_size", buckets=SIZE_BUCKETS
             ).observe(size, now_s=self._now(now_s))
         if self._trace is not None:
@@ -279,26 +310,26 @@ class Recorder:
         )
         if self.metrics is not None:
             stamp = self._now(now_s)
-            self.metrics.counter(
+            self._counter(
                 "repro_attempts_total", source=source, fate=span.fate.value
             ).inc(now_s=stamp)
-            self.metrics.counter(
+            self._counter(
                 "repro_wire_busy_seconds_total", source=source
             ).inc(span.duration_s, now_s=stamp)
-            self.metrics.counter(
+            self._counter(
                 "repro_op_cost_total", source=source
             ).inc(span.cost, now_s=stamp)
-            self.metrics.counter(
+            self._counter(
                 "repro_op_items_sent_total", source=source
             ).inc(span.items_sent, now_s=stamp)
-            self.metrics.counter(
+            self._counter(
                 "repro_op_items_received_total", source=source
             ).inc(span.items_received, now_s=stamp)
             if span.rows_loaded:
-                self.metrics.counter(
+                self._counter(
                     "repro_op_rows_loaded_total", source=source
                 ).inc(span.rows_loaded, now_s=stamp)
-            self.metrics.histogram(
+            self._histogram(
                 "repro_attempt_duration_s", buckets=DURATION_BUCKETS_S
             ).observe(span.duration_s, now_s=stamp)
         if self._trace is not None:
@@ -328,7 +359,7 @@ class Recorder:
             at=at_s,
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_retries_total", source=source
             ).inc(now_s=self._now(now_s))
         if self._trace is not None:
@@ -358,7 +389,7 @@ class Recorder:
             trigger=trigger,
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_hedges_total", target=target, trigger=trigger
             ).inc(now_s=self._now(now_s))
         if self._trace is not None:
@@ -386,7 +417,7 @@ class Recorder:
             **{"from": old_state, "to": new_state},
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_breaker_transitions_total", source=source, to=new_state
             ).inc(now_s=self._now(now_s))
         if self._trace is not None:
@@ -410,7 +441,7 @@ class Recorder:
         """
         if self.metrics is not None:
             outcome = "clean" if report.clean else "tainted"
-            self.metrics.counter(
+            self._counter(
                 "repro_verify_answers_total",
                 source=report.source,
                 outcome=outcome,
@@ -421,12 +452,12 @@ class Recorder:
                 ("conflict", report.conflicts),
             ):
                 if count:
-                    self.metrics.counter(
+                    self._counter(
                         "repro_verify_values_dropped_total",
                         source=report.source,
                         reason=reason,
                     ).inc(count, now_s=self._now(now_s))
-            self.metrics.gauge(
+            self._gauge(
                 "repro_verify_quality_score", source=report.source
             ).set(score, now_s=self._now(now_s))
         if not report.clean:
@@ -468,7 +499,7 @@ class Recorder:
             answers=answers,
         )
         if self.metrics is not None and action == "enter":
-            self.metrics.counter(
+            self._counter(
                 "repro_verify_quarantines_total", source=source
             ).inc(now_s=self._now(now_s))
         if self._trace is not None:
@@ -501,7 +532,7 @@ class Recorder:
             estimated_cost=estimated_cost,
         )
         if self.metrics is not None and round_no > 0:
-            self.metrics.counter("repro_replan_rounds_total").inc(
+            self._counter("repro_replan_rounds_total").inc(
                 now_s=self._now(now_s)
             )
 
@@ -532,10 +563,10 @@ class Recorder:
         )
         if self.metrics is not None:
             stamp = self._now(now_s)
-            self.metrics.gauge("repro_serve_queue_depth").set(
+            self._gauge("repro_serve_queue_depth").set(
                 queue_depth, now_s=stamp
             )
-            self.metrics.gauge("repro_serve_in_flight").set(
+            self._gauge("repro_serve_in_flight").set(
                 in_flight, now_s=stamp
             )
 
@@ -545,7 +576,7 @@ class Recorder:
     ) -> None:
         self._serve(now_s, "admitted", query, tenant, queue_depth, in_flight)
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_serve_admitted_total", tenant=tenant
             ).inc(now_s=self._now(now_s))
 
@@ -558,7 +589,7 @@ class Recorder:
             detail=reason,
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_serve_rejected_total", tenant=tenant, reason=reason
             ).inc(now_s=self._now(now_s))
 
@@ -582,17 +613,17 @@ class Recorder:
         )
         if self.metrics is not None:
             stamp = self._now(now_s)
-            self.metrics.counter(
+            self._counter(
                 "repro_serve_completed_total",
                 tenant=tenant,
                 outcome="error" if error else "ok",
             ).inc(now_s=stamp)
             if partial and not error:
                 # Completeness SLOs read this next to the ok counter.
-                self.metrics.counter(
+                self._counter(
                     "repro_serve_partial_total", tenant=tenant
                 ).inc(now_s=stamp)
-            self.metrics.histogram(
+            self._histogram(
                 "repro_serve_latency_s",
                 buckets=DURATION_BUCKETS_S,
                 tenant=tenant,
@@ -628,10 +659,10 @@ class Recorder:
         )
         if self.metrics is not None:
             stamp = self._now(now_s)
-            self.metrics.counter(
+            self._counter(
                 "repro_serve_plans_total", cache=cache
             ).inc(now_s=stamp)
-            self.metrics.histogram(
+            self._histogram(
                 "repro_plan_latency_s", buckets=DURATION_BUCKETS_S
             ).observe(elapsed_s, now_s=stamp)
 
@@ -662,7 +693,6 @@ class Recorder:
         if self.spans is None:
             return
         plan_end = min(planned_s + plan_elapsed_s, dispatched_s)
-        add = self.spans.add
 
         def span(
             span_id: int,
@@ -672,68 +702,71 @@ class Recorder:
             start_s: float,
             end_s: float,
             **attributes,
-        ) -> None:
-            add(
-                Span(
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    name=name,
-                    category=category,
-                    start_s=start_s,
-                    end_s=end_s,
-                    attributes=attributes,
-                )
+        ) -> Span:
+            return Span(
+                trace_id=trace_id,
+                span_id=span_id,
+                parent_id=parent_id,
+                name=name,
+                category=category,
+                start_s=start_s,
+                end_s=end_s,
+                attributes=attributes,
             )
 
-        span(
-            ROOT_SPAN_ID,
-            None,
-            "query",
-            "serve",
-            submitted_s,
-            completed_s,
-            query=query,
-            tenant=tenant,
-            status=status,
-        )
-        span(
-            ADMISSION_SPAN_ID,
-            ROOT_SPAN_ID,
-            "admission",
-            "serve",
-            submitted_s,
-            submitted_s,
-        )
-        span(
-            QUEUE_SPAN_ID, ROOT_SPAN_ID, "queue", "serve",
-            submitted_s, planned_s,
-        )
-        span(
-            PLAN_SPAN_ID,
-            ROOT_SPAN_ID,
-            "plan",
-            "plan",
-            planned_s,
-            plan_end,
-            cache=cache,
-            strategy=strategy,
-        )
-        span(
-            POOL_SPAN_ID, ROOT_SPAN_ID, "pool", "serve",
-            plan_end, dispatched_s,
-        )
-        span(
-            EXECUTE_SPAN_ID,
-            ROOT_SPAN_ID,
-            "execute",
-            "execute",
-            dispatched_s,
-            finished_s,
-        )
-        span(
-            MERGE_SPAN_ID, ROOT_SPAN_ID, "merge", "serve",
-            finished_s, completed_s,
+        # One batch, so the window never evicts part of a query's tree.
+        self.spans.add_all(
+            (
+                span(
+                    ROOT_SPAN_ID,
+                    None,
+                    "query",
+                    "serve",
+                    submitted_s,
+                    completed_s,
+                    query=query,
+                    tenant=tenant,
+                    status=status,
+                ),
+                span(
+                    ADMISSION_SPAN_ID,
+                    ROOT_SPAN_ID,
+                    "admission",
+                    "serve",
+                    submitted_s,
+                    submitted_s,
+                ),
+                span(
+                    QUEUE_SPAN_ID, ROOT_SPAN_ID, "queue", "serve",
+                    submitted_s, planned_s,
+                ),
+                span(
+                    PLAN_SPAN_ID,
+                    ROOT_SPAN_ID,
+                    "plan",
+                    "plan",
+                    planned_s,
+                    plan_end,
+                    cache=cache,
+                    strategy=strategy,
+                ),
+                span(
+                    POOL_SPAN_ID, ROOT_SPAN_ID, "pool", "serve",
+                    plan_end, dispatched_s,
+                ),
+                span(
+                    EXECUTE_SPAN_ID,
+                    ROOT_SPAN_ID,
+                    "execute",
+                    "execute",
+                    dispatched_s,
+                    finished_s,
+                ),
+                span(
+                    MERGE_SPAN_ID, ROOT_SPAN_ID, "merge", "serve",
+                    finished_s, completed_s,
+                ),
+            )
         )
 
     def query_phases(
@@ -769,7 +802,7 @@ class Recorder:
         if self.metrics is not None:
             stamp = self._now(now_s)
             for phase, seconds in sorted(phases.items()):
-                self.metrics.histogram(
+                self._histogram(
                     "repro_serve_phase_latency_s",
                     buckets=DURATION_BUCKETS_S,
                     phase=phase,
@@ -795,7 +828,7 @@ class Recorder:
             deadline=deadline_s,
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_serve_deadline_shed_total", tenant=tenant, reason=reason
             ).inc(now_s=self._now(now_s))
 
@@ -819,7 +852,7 @@ class Recorder:
             overrun=max(0.0, overrun_s),
         )
         if self.metrics is not None:
-            self.metrics.counter(
+            self._counter(
                 "repro_serve_deadline_expired_total",
                 tenant=tenant,
                 stage=stage,
@@ -835,7 +868,7 @@ class Recorder:
                 if missed
                 else "repro_serve_deadline_met_total"
             )
-            self.metrics.counter(name, tenant=tenant).inc(
+            self._counter(name, tenant=tenant).inc(
                 now_s=self._now(now_s)
             )
 
@@ -860,11 +893,11 @@ class Recorder:
         )
         if self.metrics is not None:
             stamp = self._now(now_s)
-            self.metrics.counter(
+            self._counter(
                 "repro_ops_total", status=span.status.value
             ).inc(now_s=stamp)
             if op.remote:
-                self.metrics.histogram(
+                self._histogram(
                     "repro_op_queue_wait_s", buckets=DURATION_BUCKETS_S
                 ).observe(span.queue_wait_s, now_s=stamp)
         if self._trace is not None:

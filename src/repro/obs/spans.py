@@ -15,7 +15,8 @@ span tree recorded through the :class:`~repro.obs.recorder.Recorder`:
   ``hedge`` / ``verify`` children, plus ``breaker`` and ``quarantine``
   transition markers.
 
-The :class:`SpanLog` is the storage: thread-safe, append-only, exported
+The :class:`SpanLog` is the storage: thread-safe, indexed by trace id,
+retaining a window of the most recent whole traces, exported
 either as Chrome trace-event JSON (:meth:`SpanLog.to_chrome_json`,
 loadable in Perfetto — each query is one track) or walked by the
 critical-path analyzer (:func:`analyze_trace`), which tiles a query's
@@ -110,8 +111,18 @@ class Span:
         return max(0.0, self.end_s - self.start_s)
 
 
+class _Trace:
+    """One retained trace: its export track and its spans in append order."""
+
+    __slots__ = ("track", "spans")
+
+    def __init__(self, track: int):
+        self.track = track
+        self.spans: list[Span] = []
+
+
 class SpanLog:
-    """Thread-safe append-only store for finished spans.
+    """Thread-safe store for finished spans, indexed by trace id.
 
     One log is shared by every recorder of a service (deterministic
     mode has a single recorder; thread mode gives each worker its own
@@ -119,42 +130,87 @@ class SpanLog:
     Append order is deterministic under the virtual clock; the Chrome
     exporter additionally sorts within each trace so the bytes do not
     depend on insertion interleaving in thread mode.
+
+    Retention is a window of whole traces: the log keeps the
+    :attr:`MAX_TRACES` most recently started traces, and a span that
+    starts a new trace beyond the window evicts the oldest trace with
+    all of its spans.  A trace therefore stays whole as long as fewer
+    than :attr:`MAX_TRACES` newer traces start while it is still
+    receiving spans (a service has at most a few queries in flight).
+    Track numbers are assigned at first sight and never reused, so an
+    export of a run shorter than the window is unaffected by the
+    bound.  :attr:`evicted_spans` and :attr:`evicted_traces` count
+    what the window dropped.
     """
+
+    #: Traces retained (the most recently started ones).
+    MAX_TRACES = 1024
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
-        #: trace_id -> first-seen index, for stable track numbering.
-        self._trace_order: dict[str, int] = {}
+        #: trace_id -> retained trace, in first-seen order.
+        self._traces: dict[str, _Trace] = {}
+        self._retained = 0
+        self._tracks = 0
+        self.evicted_spans = 0
+        self.evicted_traces = 0
+
+    def _add_locked(self, span: Span) -> None:
+        trace = self._traces.get(span.trace_id)
+        if trace is None:
+            if len(self._traces) >= self.MAX_TRACES:
+                oldest = self._traces.pop(next(iter(self._traces)))
+                self._retained -= len(oldest.spans)
+                self.evicted_spans += len(oldest.spans)
+                self.evicted_traces += 1
+            trace = self._traces[span.trace_id] = _Trace(self._tracks)
+            self._tracks += 1
+        trace.spans.append(span)
+        self._retained += 1
 
     def add(self, span: Span) -> Span:
         with self._lock:
-            if span.trace_id not in self._trace_order:
-                self._trace_order[span.trace_id] = len(self._trace_order)
-            self._spans.append(span)
+            self._add_locked(span)
         return span
 
-    def __len__(self) -> int:
+    def add_all(self, spans: Iterable[Span]) -> None:
+        """Append several spans under one lock acquisition, so no other
+        writer interleaves with (or evicts part of) the batch."""
         with self._lock:
-            return len(self._spans)
+            for span in spans:
+                self._add_locked(span)
+
+    def __len__(self) -> int:
+        return self._retained
 
     def __iter__(self) -> Iterator[Span]:
-        with self._lock:
-            return iter(list(self._spans))
+        return iter(self.spans)
 
     @property
     def spans(self) -> list[Span]:
+        """Retained spans, trace by trace in first-seen order, each
+        trace's spans in append order."""
         with self._lock:
-            return list(self._spans)
+            return [
+                span for trace in self._traces.values() for span in trace.spans
+            ]
+
+    @property
+    def appended(self) -> int:
+        """Spans ever added: ``len(log) + evicted_spans``."""
+        with self._lock:
+            return self._retained + self.evicted_spans
 
     def trace_ids(self) -> list[str]:
-        """Trace ids in first-seen order."""
+        """Retained trace ids in first-seen order."""
         with self._lock:
-            return sorted(self._trace_order, key=self._trace_order.__getitem__)
+            return list(self._traces)
 
     def for_trace(self, trace_id: str) -> list[Span]:
+        """One retained trace's spans in append order ([] if unknown)."""
         with self._lock:
-            return [s for s in self._spans if s.trace_id == trace_id]
+            trace = self._traces.get(trace_id)
+            return [] if trace is None else list(trace.spans)
 
     # ------------------------------------------------------------------
     # Chrome trace-event export (Perfetto-loadable)
@@ -170,41 +226,41 @@ class SpanLog:
         """
         events: list[dict[str, Any]] = []
         with self._lock:
-            order = dict(self._trace_order)
-            spans = list(self._spans)
-        for trace_id in sorted(order, key=order.__getitem__):
+            traces = [
+                (trace_id, trace.track + 1, list(trace.spans))
+                for trace_id, trace in self._traces.items()
+            ]
+        for trace_id, tid, __ in traces:
             events.append(
                 {
                     "ph": "M",
                     "pid": 1,
-                    "tid": order[trace_id] + 1,
+                    "tid": tid,
                     "name": "thread_name",
                     "args": {"name": f"trace {trace_id}"},
                 }
             )
-        for span in sorted(
-            spans,
-            key=lambda s: (order[s.trace_id], s.start_s, s.span_id),
-        ):
-            args: dict[str, Any] = {
-                "trace_id": span.trace_id,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-            }
-            for key in sorted(span.attributes):
-                args[key] = span.attributes[key]
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": order[span.trace_id] + 1,
-                    "name": span.name,
-                    "cat": span.category,
-                    "ts": round(span.start_s * 1e6, 3),
-                    "dur": round(span.duration_s * 1e6, 3),
-                    "args": args,
+        for __, tid, spans in traces:
+            for span in sorted(spans, key=lambda s: (s.start_s, s.span_id)):
+                args: dict[str, Any] = {
+                    "trace_id": span.trace_id,
+                    "span_id": span.span_id,
+                    "parent_id": span.parent_id,
                 }
-            )
+                for key in sorted(span.attributes):
+                    args[key] = span.attributes[key]
+                events.append(
+                    {
+                        "ph": "X",
+                        "pid": 1,
+                        "tid": tid,
+                        "name": span.name,
+                        "cat": span.category,
+                        "ts": round(span.start_s * 1e6, 3),
+                        "dur": round(span.duration_s * 1e6, 3),
+                        "args": args,
+                    }
+                )
         return {"displayTimeUnit": "ms", "traceEvents": events}
 
     def to_chrome_json(self) -> str:
@@ -526,13 +582,10 @@ def analyze_trace(spans: Iterable[Span]) -> CriticalPath | None:
 
 
 def analyze_log(log: SpanLog) -> dict[str, CriticalPath]:
-    """Critical paths for every trace in the log, in trace order."""
-    spans_by_trace: dict[str, list[Span]] = {}
-    for span in log.spans:
-        spans_by_trace.setdefault(span.trace_id, []).append(span)
+    """Critical paths for every retained trace, in trace order."""
     out: dict[str, CriticalPath] = {}
     for trace_id in log.trace_ids():
-        path = analyze_trace(spans_by_trace.get(trace_id, []))
+        path = analyze_trace(log.for_trace(trace_id))
         if path is not None:
             out[trace_id] = path
     return out

@@ -323,6 +323,9 @@ class MediatorService:
         self.recorder = Recorder(
             metrics=self.metrics, events=EventLog(), spans=self.spans
         )
+        #: Thread mode: each worker's private recorder (shared metrics
+        #: and spans; its event log holds only its current query's).
+        self.worker_recorders: list[Recorder] = []
         self.tickets: list[QueryTicket] = []
         self._by_seq: dict[int, QueryTicket] = {}
         self._seq = 0
@@ -346,9 +349,13 @@ class MediatorService:
             self._det_mediator = self._make_mediator(self.recorder)
         else:
             for index in range(workers):
+                recorder = Recorder(
+                    metrics=self.metrics, events=EventLog(), spans=self.spans
+                )
+                self.worker_recorders.append(recorder)
                 thread = threading.Thread(
                     target=self._worker,
-                    args=(index,),
+                    args=(recorder,),
                     name=f"serve-worker-{index}",
                     daemon=True,
                 )
@@ -894,8 +901,10 @@ class MediatorService:
         )
         engine = mediator.runtime
         saved_faults = engine.faults
-        events_before = (
-            len(self.recorder.events) if self.recorder.events else 0
+        events_mark = (
+            self.recorder.events.mark()
+            if self.recorder.events is not None
+            else 0
         )
         # The engine's clock restarts at zero each run; offsetting its
         # event timestamps by the dispatch time interleaves them onto
@@ -941,7 +950,7 @@ class MediatorService:
         if self.mine_statistics and self.recorder.events is not None:
             observe = getattr(self.statistics, "observe", None)
             if callable(observe):
-                observe(self.recorder.events.events[events_before:])
+                observe(self.recorder.events.since(events_mark))
         heapq.heappush(self._completions, (done_at, ticket.seq, sources))
 
     def _complete_deterministic(
@@ -1038,10 +1047,7 @@ class MediatorService:
                     )
                 self._cond.wait(min(remaining, 0.1))
 
-    def _worker(self, index: int) -> None:
-        recorder = Recorder(
-            metrics=self.metrics, events=EventLog(), spans=self.spans
-        )
+    def _worker(self, recorder: Recorder) -> None:
         mediator = self._make_mediator(recorder)
         while True:
             with self._cond:
@@ -1110,9 +1116,13 @@ class MediatorService:
                     ticket.dispatched_s, ticket.seq, ticket.tenant,
                     self.queue_depth, self.in_flight,
                 )
-            events_before = (
-                len(recorder.events) if recorder.events is not None else 0
-            )
+            # Nothing outside this worker reads its private event log
+            # except statistics mining, one query at a time: keep only
+            # the current query's events.
+            events_mark = 0
+            if recorder.events is not None:
+                recorder.events.clear()
+                events_mark = recorder.events.mark()
             error = ""
             items = None
             makespan = 0.0
@@ -1154,7 +1164,7 @@ class MediatorService:
             if self.mine_statistics and recorder.events is not None:
                 observe = getattr(self.statistics, "observe", None)
                 if callable(observe):
-                    observe(recorder.events.events[events_before:])
+                    observe(recorder.events.since(events_mark))
             with self._cond:
                 self.pools.release(sources)
                 self.admission.on_complete(ticket.tenant)

@@ -137,3 +137,161 @@ class TestEventLog:
         assert event["type"] == "breaker"
         assert event["source"] == "R1"
         assert event.get("missing", "fallback") == "fallback"
+
+
+#: One well-typed value per schema field type.
+SAMPLE_VALUES = {
+    "int": 3,
+    "float": 1.5,
+    "str": "R1",
+    "bool": True,
+    "list[str]": ["R1", "R2"],
+}
+
+#: A value of the wrong type for each schema field type.
+WRONG_VALUES = {
+    "int": 2.5,
+    "float": "fast",
+    "str": 7,
+    "bool": 1,
+    "list[str]": ["R1", 2],
+}
+
+
+def valid_record(event_type):
+    record = {"ts": 0.25, "type": event_type}
+    for name, kind in EVENT_SCHEMA[event_type].items():
+        record[name] = SAMPLE_VALUES[kind]
+    return record
+
+
+def malformed_records():
+    """Every schema type, broken each way validation distinguishes."""
+    for event_type, expected in EVENT_SCHEMA.items():
+        base = valid_record(event_type)
+        yield base
+        first = next(iter(expected))
+        missing = dict(base)
+        del missing[first]
+        yield missing
+        yield {**base, "colour": "red"}
+        both = dict(missing)
+        both["colour"] = "red"
+        yield both
+        for name, kind in expected.items():
+            yield {**base, name: WRONG_VALUES[kind]}
+            if kind in ("int", "float"):
+                yield {**base, name: False}
+        yield {**base, "ts": "soon"}
+        yield {**base, "ts": None}
+        yield {**base, "ts": True}
+    yield {**valid_record("breaker"), "type": "explosion"}
+
+
+def outcome(call):
+    try:
+        call()
+    except ObservabilityError as exc:
+        return str(exc)
+    return None
+
+
+class TestEmitParity:
+    def test_emit_raises_exactly_when_validate_record_does(self):
+        checked = 0
+        for record in malformed_records():
+            fields = {
+                key: value
+                for key, value in record.items()
+                if key not in ("ts", "type")
+            }
+            expected = outcome(lambda: validate_record(record))
+            log = EventLog()
+            got = outcome(
+                lambda: log.emit(record["ts"], record["type"], **fields)
+            )
+            assert got == expected, record
+            assert len(log) == (0 if expected else 1)
+            checked += 1
+        assert checked > 10 * len(EVENT_SCHEMA)
+
+    def test_emitted_records_keep_the_canonical_key_order(self):
+        for event_type in EVENT_SCHEMA:
+            record = valid_record(event_type)
+            fields = {
+                k: v for k, v in record.items() if k not in ("ts", "type")
+            }
+            event = EventLog().emit(record["ts"], event_type, **fields)
+            assert list(event.to_record()) == ["ts", "type", *sorted(fields)]
+            assert event.to_record() == record
+
+    def test_a_field_shadowing_the_envelope_is_rejected(self):
+        log = EventLog()
+        with pytest.raises(ObservabilityError, match="may not be named"):
+            log.emit(
+                0.0, "breaker", type="breaker", source="R1",
+                **{"from": "a", "to": "b"},
+            )
+        assert len(log) == 0
+
+
+def breaker(log, ts):
+    log.emit(ts, "breaker", source="R1", **{"from": "closed", "to": "open"})
+
+
+class TestEventRing:
+    def test_ring_keeps_the_most_recent_events(self, monkeypatch):
+        monkeypatch.setattr(EventLog, "MAX_EVENTS", 4)
+        log = EventLog()
+        for step in range(10):
+            breaker(log, float(step))
+        assert len(log) == 4
+        assert [event.ts for event in log] == [6.0, 7.0, 8.0, 9.0]
+        assert log.emitted == 10
+        assert log.evicted == 6
+
+    def test_since_stays_correct_after_the_ring_wraps(self, monkeypatch):
+        monkeypatch.setattr(EventLog, "MAX_EVENTS", 4)
+        log = EventLog()
+        for step in range(6):
+            breaker(log, float(step))
+        # len() no longer moves once the ring is full; the mark does.
+        before = len(log)
+        mark = log.mark()
+        breaker(log, 6.0)
+        breaker(log, 7.0)
+        assert len(log) == before
+        assert [event.ts for event in log.since(mark)] == [6.0, 7.0]
+        assert log.since(log.mark()) == []
+
+    def test_since_refuses_a_slice_the_ring_no_longer_holds(self, monkeypatch):
+        monkeypatch.setattr(EventLog, "MAX_EVENTS", 4)
+        log = EventLog()
+        mark = log.mark()
+        for step in range(5):
+            breaker(log, float(step))
+        with pytest.raises(ObservabilityError, match="evicted"):
+            log.since(mark)
+
+    def test_clear_counts_as_eviction(self):
+        log = EventLog()
+        for step in range(3):
+            breaker(log, float(step))
+        log.clear()
+        assert len(log) == 0
+        assert log.emitted == 3
+        assert log.evicted == 3
+        mark = log.mark()
+        breaker(log, 3.0)
+        assert [event.ts for event in log.since(mark)] == [3.0]
+        assert log.emitted == len(log) + log.evicted
+
+    def test_a_read_log_keeps_the_ring_bound(self, monkeypatch):
+        monkeypatch.setattr(EventLog, "MAX_EVENTS", 2)
+        log = EventLog()
+        for step in range(2):
+            breaker(log, float(step))
+        text = log.to_jsonl() + "\n" + log.to_jsonl()
+        restored = EventLog.from_jsonl(text)
+        assert len(restored) == 2
+        assert restored.emitted == 4

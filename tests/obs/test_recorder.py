@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.mediator.session import Mediator
-from repro.obs import EventLog, Recorder
+from repro.obs import EventLog, MetricsRegistry, Recorder
 from repro.obs.replay import trace_from_events
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
@@ -188,3 +188,98 @@ class TestReplanRounds:
         replans = recorder.events.of_type("replan")
         assert replans and replans[0]["round"] == 0
         assert replans[0]["optimizer"]
+
+
+class TestMetricHandleCache:
+    DMV_SQL = (
+        "SELECT u1.L FROM U u1, U u2 "
+        "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+    )
+
+    def exports(self):
+        from repro.serve import (
+            MediatorService,
+            WorkloadSpec,
+            generate_arrivals,
+            run_workload,
+        )
+
+        federation, __ = dmv_fig1()
+        service = MediatorService(
+            federation,
+            mode="deterministic",
+            pool_slots=2,
+            seed=5,
+            faults=FaultProfile.flaky(0.3),
+        )
+        spec = WorkloadSpec(
+            queries=(self.DMV_SQL,), count=12, rate_qps=4.0, seed=5
+        )
+        run_workload(service, generate_arrivals(spec))
+        return service.metrics.to_prometheus(), service.metrics.to_json_text()
+
+    def test_exports_are_byte_identical_to_the_uncached_path(
+        self, monkeypatch
+    ):
+        cached = self.exports()
+        monkeypatch.setattr(
+            Recorder,
+            "_handle",
+            lambda self, factory, name, labels: factory(name, **labels),
+        )
+        uncached = self.exports()
+        assert cached == uncached
+        prometheus = cached[0]
+        for family in (
+            "repro_attempts_total",
+            "repro_retries_total",
+            "repro_serve_latency_s",
+            "repro_serve_phase_latency_s",
+        ):
+            assert f"# TYPE {family} " in prometheus
+
+    def test_a_handle_is_fetched_once_per_recorder(self):
+        calls = []
+        registry = MetricsRegistry()
+        original = registry.counter
+
+        def counting(name, **labels):
+            calls.append((name, labels))
+            return original(name, **labels)
+
+        registry.counter = counting
+        recorder = Recorder(metrics=registry)
+        for __ in range(3):
+            recorder.query_admitted(0.0, 1, "t", 0, 0)
+        assert calls == [("repro_serve_admitted_total", {"tenant": "t"})]
+        assert registry.counter("repro_serve_admitted_total", tenant="t").value == 3
+
+    def test_swapping_the_registry_never_serves_stale_handles(self):
+        recorder = Recorder()
+        recorder.query_admitted(0.0, 1, "t", 0, 0)
+        fresh = MetricsRegistry()
+        recorder.metrics = fresh
+        recorder.query_admitted(0.0, 2, "t", 0, 0)
+        assert fresh.counter("repro_serve_admitted_total", tenant="t").value == 1
+
+
+class TestProfileAfterRingWrap:
+    def test_profile_on_a_wrapped_ring_equals_a_fresh_one(self):
+        fresh_recorder = Recorder()
+        mediator, query = flaky_mediator(fresh_recorder)
+        fresh = mediator.answer(query).execution.profile
+
+        recorder = Recorder()
+        log = recorder.events
+        for step in range(EventLog.MAX_EVENTS + 10):
+            log.emit(
+                float(step), "breaker", source="R9",
+                **{"from": "closed", "to": "open"},
+            )
+        assert len(log) == EventLog.MAX_EVENTS and log.evicted == 10
+        mediator, query = flaky_mediator(recorder)
+        wrapped = mediator.answer(query).execution.profile
+        assert log.evicted > 10  # the query's events wrapped it further
+        assert len(log) == EventLog.MAX_EVENTS
+        assert wrapped == fresh
+        assert wrapped.items == fresh.items > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -121,6 +122,25 @@ class TestSpanLog:
         log.add(span(9, 8, "op", "execute", 0.0, 1.0))
         with pytest.raises(ObservabilityError, match="missing parent"):
             validate_chrome_trace(log.to_chrome_trace())
+
+    def test_window_evicts_the_oldest_trace_whole(self):
+        log = SpanLog()
+        log.MAX_TRACES = 2
+        ids = [derive_trace_id(4, n) for n in range(3)]
+        for trace_id in ids:
+            log.add_all(
+                dataclasses.replace(item, trace_id=trace_id)
+                for item in serve_tree()
+            )
+        assert log.trace_ids() == ids[1:]
+        assert log.for_trace(ids[0]) == []
+        assert (log.evicted_traces, log.evicted_spans) == (1, 7)
+        assert len(log) + log.evicted_spans == log.appended == 21
+        assert [s.trace_id for s in log] == [ids[1]] * 7 + [ids[2]] * 7
+        data = log.to_chrome_trace()
+        assert validate_chrome_trace(data) == 14
+        # Tracks keep their first-seen numbers after the window slides.
+        assert sorted({e["tid"] for e in data["traceEvents"]}) == [2, 3]
 
     def test_validate_rejects_bad_envelope(self):
         with pytest.raises(ObservabilityError, match="traceEvents"):

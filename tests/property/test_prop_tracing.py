@@ -84,3 +84,89 @@ def test_critical_path_always_tiles_the_latency(
         # Slices partition [submit, complete]: contiguous, ordered.
         for left, right in zip(path.slices, path.slices[1:]):
             assert abs(left.end_s - right.start_s) <= 1e-12
+
+
+def _span(trace_id, span_id):
+    from repro.obs.spans import Span
+
+    return Span(
+        trace_id=trace_id,
+        span_id=span_id,
+        parent_id=None if span_id == 1 else 1,
+        name="query" if span_id == 1 else "op",
+        category="serve" if span_id == 1 else "execute",
+        start_s=float(span_id),
+        end_s=float(span_id) + 0.5,
+    )
+
+
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=40),
+    window=st.integers(1, 6),
+    width=st.integers(1, 4),
+    choices=st.lists(st.integers(0, 1_000), min_size=1, max_size=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_span_index_matches_a_linear_filter_and_evicts_whole_traces(
+    sizes, window, width, choices
+):
+    """Random interleaved appends from up to ``width`` open traces.
+
+    The window's contract: a trace stays whole while fewer than
+    ``MAX_TRACES`` newer traces start during its lifetime, so the
+    schedule finishes any trace about to see that many before starting
+    another.
+    """
+    from repro.obs.spans import SpanLog, derive_trace_id
+
+    log = SpanLog()
+    log.MAX_TRACES = window  # a small window, so eviction is exercised
+    ids = [derive_trace_id(3, n) for n in range(len(sizes))]
+    appended = {trace: 0 for trace in ids}
+    newer = {}  # open trace -> traces started since it opened
+    pending = list(range(len(sizes)))
+    turn = iter(choices * (sum(sizes) + len(sizes)))
+
+    def append(index):
+        trace = ids[index]
+        appended[trace] += 1
+        log.add(_span(trace, appended[trace]))
+        if appended[trace] == sizes[index]:
+            del newer[index]
+
+    def check():
+        retained = log.spans
+        live = log.trace_ids()
+        assert len(live) <= window
+        for trace in live:
+            assert log.for_trace(trace) == [
+                s for s in retained if s.trace_id == trace
+            ]
+        assert {s.trace_id for s in retained} == set(live)
+        for trace, count in appended.items():
+            kept = len(log.for_trace(trace))
+            assert kept in (0, count), "a trace was evicted in part"
+        assert len(log) + log.evicted_spans == sum(appended.values())
+        assert log.appended == sum(appended.values())
+
+    while pending or newer:
+        choice = next(turn)
+        if pending and (not newer or (choice % 2 == 0 and len(newer) < width)):
+            for index in [i for i, n in newer.items() if n >= window - 1]:
+                while index in newer:
+                    append(index)
+            for index in newer:
+                newer[index] += 1
+            index = pending.pop(0)
+            newer[index] = 0
+            append(index)
+        else:
+            open_traces = sorted(newer)
+            append(open_traces[choice % len(open_traces)])
+        check()
+    evicted = [trace for trace in ids if not log.for_trace(trace)]
+    assert log.evicted_traces == len(evicted)
+    assert log.evicted_spans == sum(
+        size for trace, size in zip(ids, sizes) if trace in evicted
+    )
+    assert log.trace_ids() == [t for t in ids if t not in evicted]

@@ -10,6 +10,8 @@ invariants a single-threaded run would produce.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import threading
 
 from repro.mediator.plan_cache import PlanCache
@@ -47,6 +49,17 @@ def hammer(worker):
         thread.join()
     if errors:
         raise errors[0]
+
+
+@contextlib.contextmanager
+def fast_switching():
+    """Switch threads every microsecond, so lost updates show up."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 class TestPlanCacheHammer:
@@ -203,6 +216,25 @@ class TestQuarantineHammer:
         assert set(registry.quarantined_names()) == set(liars)
 
 
+class TestEventLogHammer:
+    def test_concurrent_emits_keep_an_exact_count(self, monkeypatch):
+        monkeypatch.setattr(EventLog, "MAX_EVENTS", 64)
+        log = EventLog()
+
+        def worker(index):
+            for round_no in range(ROUNDS):
+                log.emit(
+                    float(round_no), "breaker", source=f"R{index}",
+                    **{"from": "closed", "to": "open"},
+                )
+
+        with fast_switching():
+            hammer(worker)
+        assert log.emitted == THREADS * ROUNDS
+        assert len(log) == 64
+        assert log.evicted == THREADS * ROUNDS - 64
+
+
 class TestSpanLogHammer:
     def test_concurrent_appends_and_exports(self):
         from repro.obs.spans import (
@@ -264,6 +296,15 @@ class TestSpanLogHammer:
                     completed_s=1.0,
                 )
 
-        hammer(worker)
-        assert len(log) == THREADS * ROUNDS * 7
-        assert len(log.trace_ids()) == THREADS * ROUNDS
+        with fast_switching():
+            hammer(worker)
+        # More traces than the window: nothing is lost (retained plus
+        # evicted covers every append), and what remains is exactly the
+        # window's worth of whole seven-span trees.
+        assert THREADS * ROUNDS > SpanLog.MAX_TRACES
+        assert len(log) + log.evicted_spans == THREADS * ROUNDS * 7
+        assert log.evicted_traces == THREADS * ROUNDS - SpanLog.MAX_TRACES
+        assert len(log.trace_ids()) == SpanLog.MAX_TRACES
+        assert len(log) == SpanLog.MAX_TRACES * 7
+        for trace in log.trace_ids():
+            assert len(log.for_trace(trace)) == 7
