@@ -286,14 +286,12 @@ class Executor:
         assert self.recorder is not None
         start = self._clock
         end = start + trace.elapsed_s
-        condition = getattr(op, "condition", None)
-        condition_sql = "" if condition is None else condition.to_sql()
         if isinstance(op, SemijoinOp):
             self.recorder.sendset_shipped(
                 start,
                 trace.step,
                 op.source,
-                condition_sql,
+                op.condition,
                 len(items[op.input_register]),
             )
         span = AttemptSpan(
@@ -309,7 +307,12 @@ class Executor:
             source=op.source,  # type: ignore[attr-defined]
         )
         self.recorder.attempt_finished(
-            end, trace.step, op.kind.value, op.source, condition_sql, span
+            end,
+            trace.step,
+            op.kind.value,
+            op.source,
+            getattr(op, "condition", None),
+            span,
         )
         self.recorder.op_finished(
             end,

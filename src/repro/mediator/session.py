@@ -21,6 +21,7 @@ Example:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -395,13 +396,33 @@ class Mediator:
         # from this sequence when span recording is on and the caller
         # supplied none (a serving tier always derives its own).
         self._answer_seq = 0
+        # SQL text -> parsed, schema-validated query, least recently
+        # used first.  Owned by this mediator alone (a service gives
+        # each worker its own), so it takes no lock.
+        self._parsed: OrderedDict[str, FusionQuery] = OrderedDict()
 
     # ------------------------------------------------------------------
 
+    #: Distinct SQL texts whose parsed queries :meth:`parse` keeps.
+    PARSE_CACHE_SIZE = 256
+
     def parse(self, sql: str) -> FusionQuery:
-        """Parse fusion-query SQL against this federation's view name."""
+        """Parse fusion-query SQL against this federation's view name.
+
+        Repeated texts return the same (immutable) query object from a
+        bounded LRU cache; a text that fails to parse or validate is
+        never cached, so it raises again on every call.
+        """
+        parsed = self._parsed
+        query = parsed.get(sql)
+        if query is not None:
+            parsed.move_to_end(sql)
+            return query
         query = parse_fusion_query(sql, view_name=self.federation.name)
         query.validate_against_schema(self.federation.schema)
+        parsed[sql] = query
+        if len(parsed) > self.PARSE_CACHE_SIZE:
+            parsed.popitem(last=False)
         return query
 
     def _coerce(self, query: FusionQuery | str) -> FusionQuery:

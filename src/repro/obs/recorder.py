@@ -13,7 +13,10 @@ restarts its clock at zero.
 
 With ``Recorder()`` (no sinks requested) both a metrics registry and an
 event log are created; pass ``metrics=None`` / ``events=None`` through
-the keyword-only constructor arguments to drop one side.  The execution
+the keyword-only constructor arguments to drop one side.  Without an
+event log the hot per-attempt/per-op methods skip building event fields
+altogether (conditions are passed as objects and rendered to SQL only
+for a stored event); metrics and spans are unaffected.  The execution
 layers accept ``recorder=None`` (their default) and skip all
 instrumentation, which keeps the zero-config runtime byte-identical to
 the uninstrumented one.
@@ -46,6 +49,7 @@ from repro.obs.spans import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relational.conditions import Condition
     from repro.runtime.trace import AttemptSpan, OpSpan
 
 
@@ -252,17 +256,23 @@ class Recorder:
     # Wire attempts
 
     def sendset_shipped(
-        self, now_s: float, step: int, source: str, condition: str, size: int
+        self,
+        now_s: float,
+        step: int,
+        source: str,
+        condition: "Condition",
+        size: int,
     ) -> None:
-        self._emit(
-            now_s,
-            "sendset",
-            round=self.round,
-            step=step,
-            source=source,
-            condition=condition,
-            size=size,
-        )
+        if self.events is not None:
+            self._emit(
+                now_s,
+                "sendset",
+                round=self.round,
+                step=step,
+                source=source,
+                condition=condition.to_sql(),
+                size=size,
+            )
         if self.metrics is not None:
             self._histogram(
                 "repro_sendset_size", buckets=SIZE_BUCKETS
@@ -284,30 +294,31 @@ class Recorder:
         step: int,
         op_kind: str,
         planned: str,
-        condition: str,
+        condition: "Condition | None",
         span: "AttemptSpan",
     ) -> None:
         source = span.source or planned
-        self._emit(
-            now_s,
-            "attempt",
-            round=self.round,
-            step=step,
-            op=op_kind,
-            planned=planned,
-            source=source,
-            condition=condition,
-            attempt=span.attempt,
-            start=span.start_s,
-            end=span.end_s,
-            fate=span.fate.value,
-            hedge=span.hedge,
-            cost=span.cost,
-            items_sent=span.items_sent,
-            items_received=span.items_received,
-            rows_loaded=span.rows_loaded,
-            messages=span.messages,
-        )
+        if self.events is not None:
+            self._emit(
+                now_s,
+                "attempt",
+                round=self.round,
+                step=step,
+                op=op_kind,
+                planned=planned,
+                source=source,
+                condition="" if condition is None else condition.to_sql(),
+                attempt=span.attempt,
+                start=span.start_s,
+                end=span.end_s,
+                fate=span.fate.value,
+                hedge=span.hedge,
+                cost=span.cost,
+                items_sent=span.items_sent,
+                items_received=span.items_received,
+                rows_loaded=span.rows_loaded,
+                messages=span.messages,
+            )
         if self.metrics is not None:
             stamp = self._now(now_s)
             self._counter(
@@ -579,6 +590,15 @@ class Recorder:
             self._counter(
                 "repro_serve_admitted_total", tenant=tenant
             ).inc(now_s=self._now(now_s))
+
+    def worker_fault(self, now_s: float, stage: str) -> None:
+        """A serving worker caught a non-library exception while
+        planning or executing one query (``stage``); the ticket failed
+        and the worker kept serving."""
+        if self.metrics is not None:
+            self._counter("repro_serve_worker_faults_total", stage=stage).inc(
+                now_s=self._now(now_s)
+            )
 
     def query_rejected(
         self, now_s: float, query: int, tenant: str, reason: str,
@@ -874,23 +894,24 @@ class Recorder:
 
     def op_finished(self, now_s: float, span: "OpSpan") -> None:
         op = span.operation
-        condition = getattr(op, "condition", None)
-        self._emit(
-            now_s,
-            "op",
-            round=self.round,
-            step=span.step,
-            op=op.kind.value,
-            target=op.target,
-            source=span.source,
-            remote=op.remote,
-            condition="" if condition is None else condition.to_sql(),
-            queued=span.queued_s,
-            started=span.started_s,
-            finished=span.finished_s,
-            status=span.status.value,
-            output=span.output_size,
-        )
+        if self.events is not None:
+            condition = getattr(op, "condition", None)
+            self._emit(
+                now_s,
+                "op",
+                round=self.round,
+                step=span.step,
+                op=op.kind.value,
+                target=op.target,
+                source=span.source,
+                remote=op.remote,
+                condition="" if condition is None else condition.to_sql(),
+                queued=span.queued_s,
+                started=span.started_s,
+                finished=span.finished_s,
+                status=span.status.value,
+                output=span.output_size,
+            )
         if self.metrics is not None:
             stamp = self._now(now_s)
             self._counter(

@@ -81,7 +81,7 @@ def derive_trace_id(workload_seed: int, seq: int) -> str:
     return f"{value:016x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One node of a query's span tree.
 

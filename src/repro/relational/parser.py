@@ -17,6 +17,10 @@ Grammar (standard SQL-ish precedence, lowest first)::
 
 Identifiers may be qualified (``u1.V``); the qualifier is stripped since
 fusion-query conditions range over a single tuple variable.
+
+Parentheses and ``NOT`` may nest at most :data:`MAX_NESTING` levels;
+deeper input raises :class:`~repro.errors.ParseError` rather than
+exhausting the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ _KEYWORDS = {
 _PUNCTUATION = {"(", ")", ",", "*"}
 
 _OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">")
+
+#: Deepest parenthesis/``NOT`` nesting a condition may use.  Each level
+#: costs the recursive descent about four stack frames, so this keeps a
+#: parse well inside Python's default recursion limit.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- cursor helpers --------------------------------------------------
 
@@ -161,6 +171,16 @@ class _Parser:
             )
         return token
 
+    def descend(self) -> None:
+        """Enter one nesting level (just after its ``(`` or ``NOT``)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"condition nests deeper than {MAX_NESTING} levels",
+                self.text,
+                self.tokens[self.index - 1].position,
+            )
+
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> Condition:
@@ -187,13 +207,18 @@ class _Parser:
 
     def not_expr(self) -> Condition:
         if self.accept("keyword", "NOT"):
-            return Not(self.not_expr())
+            self.descend()
+            inner = self.not_expr()
+            self.depth -= 1
+            return Not(inner)
         return self.primary()
 
     def primary(self) -> Condition:
         if self.accept("punct", "("):
+            self.descend()
             inner = self.or_expr()
             self.expect("punct", ")")
+            self.depth -= 1
             return inner
         if self.accept("keyword", "TRUE"):
             return TrueCondition()

@@ -750,7 +750,7 @@ class _Execution:
                 now,
                 task.step,
                 serving,
-                task.op.condition.to_sql(),
+                task.op.condition,
                 len(bindings),
             )
         mark = len(source.traffic.records)
@@ -914,13 +914,12 @@ class _Execution:
         )
         task.attempts.append(span)
         if self.recorder is not None:
-            condition = getattr(task.op, "condition", None)
             self.recorder.attempt_finished(
                 now,
                 task.step,
                 task.op.kind.value,
                 task.planned_source,
-                "" if condition is None else condition.to_sql(),
+                getattr(task.op, "condition", None),
                 span,
             )
 

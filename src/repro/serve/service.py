@@ -38,6 +38,7 @@ condition lock.
 from __future__ import annotations
 
 import heapq
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -86,6 +87,8 @@ from repro.sources.statistics import ExactStatistics, StatisticsProvider
 
 #: Service execution modes.
 MODES = ("deterministic", "threads")
+
+_log = logging.getLogger(__name__)
 
 
 def derive_seed(workload_seed: int, seq: int) -> int:
@@ -324,7 +327,9 @@ class MediatorService:
             metrics=self.metrics, events=EventLog(), spans=self.spans
         )
         #: Thread mode: each worker's private recorder (shared metrics
-        #: and spans; its event log holds only its current query's).
+        #: and spans).  Statistics mining is the only reader of worker
+        #: events, so a worker gets an event log — holding only its
+        #: current query's events — only with ``mine_statistics``.
         self.worker_recorders: list[Recorder] = []
         self.tickets: list[QueryTicket] = []
         self._by_seq: dict[int, QueryTicket] = {}
@@ -350,7 +355,9 @@ class MediatorService:
         else:
             for index in range(workers):
                 recorder = Recorder(
-                    metrics=self.metrics, events=EventLog(), spans=self.spans
+                    metrics=self.metrics,
+                    events=EventLog() if mine_statistics else None,
+                    spans=self.spans,
                 )
                 self.worker_recorders.append(recorder)
                 thread = threading.Thread(
@@ -1073,7 +1080,10 @@ class MediatorService:
             try:
                 optimization = mediator.plan(ticket.query)
                 sources = sorted(optimization.plan.sources_used())
-            except FusionError as exc:
+            except Exception as exc:
+                # Supervision: whatever planning raises fails only this
+                # ticket; the worker lives on to serve the next one.
+                self._note_worker_fault("plan", ticket, exc)
                 with self._cond:
                     self._fail_unplannable_threads(ticket, exc)
                     self._cond.notify_all()
@@ -1130,7 +1140,6 @@ class MediatorService:
             incomplete: tuple[str, ...] = ()
             deadline_cut = False
             engine = mediator.runtime
-            engine.faults = self._injector_for(ticket)
             budget_s = None
             if ticket.deadline_s is not None:
                 assert ticket.dispatched_s is not None
@@ -1146,6 +1155,7 @@ class MediatorService:
             assert ticket.dispatched_s is not None
             recorder.clock_offset_s = ticket.dispatched_s
             try:
+                engine.faults = self._injector_for(ticket)
                 result = engine.run(
                     optimization.plan,
                     budget_s=budget_s,
@@ -1157,7 +1167,9 @@ class MediatorService:
                 incomplete = execution.incomplete_conditions
                 deadline_cut = result.deadline_expired
                 makespan = result.makespan_s
-            except FusionError as exc:
+            except Exception as exc:
+                # As for planning: the failure stays with this ticket.
+                self._note_worker_fault("execute", ticket, exc)
                 error = f"{type(exc).__name__}: {exc}"
             finally:
                 recorder.clock_offset_s = 0.0
@@ -1201,6 +1213,22 @@ class MediatorService:
                 self._note_deadline_outcome(ticket, now)
                 self._finalize_trace(ticket, self.recorder)
                 self._cond.notify_all()
+
+    def _note_worker_fault(
+        self, stage: str, ticket: QueryTicket, exc: Exception
+    ) -> None:
+        """Log (with its traceback) and count an exception that is not a
+        library error; the worker fails the ticket and keeps serving."""
+        if isinstance(exc, FusionError):
+            return
+        _log.error(
+            "worker fault in %s stage of query #%d",
+            stage,
+            ticket.seq,
+            exc_info=exc,
+        )
+        with self._cond:
+            self.recorder.worker_fault(self.elapsed_s, stage)
 
     def _fail_unplannable_threads(
         self, ticket: QueryTicket, exc: Exception

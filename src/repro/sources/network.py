@@ -116,7 +116,7 @@ class LinkProfile:
         return 2 * self.latency_s + volume / self.items_per_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficRecord:
     """One wrapper request as observed on the simulated wire."""
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NotAFusionQueryError
+from repro.errors import NotAFusionQueryError, ParseError, QueryError
+from repro.mediator import session
 from repro.mediator.session import Mediator
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.sja import SJAOptimizer
@@ -110,6 +111,69 @@ class TestPlanCache:
         mediator.plan(dmv_query)
         mediator.explain(dmv_query)
         assert mediator.plan_cache_hits == 1
+
+
+DMV_SQL = (
+    "SELECT u1.L FROM U u1, U u2 "
+    "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+)
+
+
+class TestParseCache:
+    @staticmethod
+    def _count_parses(monkeypatch):
+        calls = []
+        parse = session.parse_fusion_query
+
+        def counting(sql, **kwargs):
+            calls.append(sql)
+            return parse(sql, **kwargs)
+
+        monkeypatch.setattr(session, "parse_fusion_query", counting)
+        return calls
+
+    def test_repeated_text_returns_the_same_query(
+        self, dmv_mediator, monkeypatch
+    ):
+        calls = self._count_parses(monkeypatch)
+        first = dmv_mediator.parse(DMV_SQL)
+        assert dmv_mediator.parse(DMV_SQL) is first
+        assert dmv_mediator.answer(DMV_SQL).query is first
+        assert calls == [DMV_SQL]
+
+    def test_cache_is_bounded_and_evicts_the_oldest(
+        self, dmv_mediator, monkeypatch
+    ):
+        assert Mediator.PARSE_CACHE_SIZE == 256
+        monkeypatch.setattr(Mediator, "PARSE_CACHE_SIZE", 2)
+        texts = [DMV_SQL.replace("'sp'", f"'v{i}'") for i in range(3)]
+        a = dmv_mediator.parse(texts[0])
+        b = dmv_mediator.parse(texts[1])
+        assert dmv_mediator.parse(texts[0]) is a  # now the newest
+        dmv_mediator.parse(texts[2])  # evicts texts[1], the oldest
+        assert dmv_mediator.parse(texts[0]) is a
+        fresh = dmv_mediator.parse(texts[1])
+        assert fresh is not b and fresh == b
+
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            ("SELECT u1.L FROM U u1 WHERE u1.V = ", ParseError),
+            (
+                "SELECT u1.V FROM U u1, U u2 "
+                "WHERE u1.V = u2.V AND u1.D = 1993 AND u2.D = 1996",
+                QueryError,
+            ),
+        ],
+    )
+    def test_failures_raise_on_every_call_and_are_never_cached(
+        self, dmv_mediator, monkeypatch, sql, error
+    ):
+        calls = self._count_parses(monkeypatch)
+        for __ in range(3):
+            with pytest.raises(error):
+                dmv_mediator.parse(sql)
+        assert calls == [sql] * 3
 
 
 class TestTwoPhase:

@@ -87,6 +87,14 @@ class TestSpan:
         noisy = span(1, None, "query", "query", 1.0, 1.0 - 1e-12)
         assert noisy.duration_s == 0.0
 
+    def test_frozen_slotted_value(self):
+        root = span(1, None, "query", "query", 0.0, 1.0, tenant="a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            root.end_s = 2.0
+        assert not hasattr(root, "__dict__")
+        assert root == span(1, None, "query", "query", 0.0, 1.0, tenant="a")
+        assert root != span(1, None, "query", "query", 0.0, 2.0, tenant="a")
+
 
 class TestSpanLog:
     def test_append_and_trace_order(self):

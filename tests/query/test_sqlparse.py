@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NotAFusionQueryError
+from repro.errors import NotAFusionQueryError, ParseError
 from repro.query.fusion import FusionQuery
 from repro.query.sqlparse import is_fusion_query, parse_fusion_query
 from repro.relational.conditions import And, Comparison
@@ -266,3 +266,19 @@ class TestParseAggregateQuery:
         )
         with pytest.raises(Exception):
             parse_aggregate_query(sql)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("levels", [201, 3000])
+    def test_deep_condition_raises_parse_error(self, levels):
+        deep = "(" * levels + "u1.V = 'dui'" + ")" * levels
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_fusion_query(f"SELECT u1.L FROM U u1 WHERE {deep}")
+
+    def test_two_hundred_levels_still_parse(self):
+        deep = "(" * 200 + "u2.V = 'sp'" + ")" * 200
+        query = parse_fusion_query(
+            f"SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L "
+            f"AND u1.V = 'dui' AND {deep}"
+        )
+        assert query == parse_fusion_query(DMV_SQL)

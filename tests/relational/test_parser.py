@@ -17,7 +17,7 @@ from repro.relational.conditions import (
     Or,
     TrueCondition,
 )
-from repro.relational.parser import parse_condition, tokenize
+from repro.relational.parser import MAX_NESTING, parse_condition, tokenize
 
 
 class TestTokenizer:
@@ -155,3 +155,33 @@ class TestErrors:
         with pytest.raises(ParseError) as excinfo:
             parse_condition("a = $")
         assert excinfo.value.position == 4
+
+
+class TestNestingLimit:
+    """Deep nesting is a typed parse error, never a ``RecursionError``."""
+
+    @staticmethod
+    def nested(levels: int) -> str:
+        return "(" * levels + "a = 1" + ")" * levels
+
+    def test_deepest_allowed_nesting_parses(self):
+        assert MAX_NESTING == 200
+        assert parse_condition(self.nested(MAX_NESTING)) == Comparison(
+            "a", "=", 1
+        )
+        assert parse_condition("NOT " * MAX_NESTING + "a = 1") is not None
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
+    def test_deeper_parentheses_raise_parse_error(self, levels):
+        with pytest.raises(ParseError, match="nests deeper") as excinfo:
+            parse_condition(self.nested(levels))
+        assert excinfo.value.position == MAX_NESTING
+
+    def test_deep_not_chain_raises_parse_error(self):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_condition("NOT " * 3000 + "a = 1")
+
+    def test_sibling_groups_do_not_accumulate_depth(self):
+        group = self.nested(MAX_NESTING)
+        parsed = parse_condition(f"{group} AND {group} OR {group}")
+        assert isinstance(parsed, Or)

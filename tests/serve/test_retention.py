@@ -2,8 +2,9 @@
 
 A long-running service must hold O(window) telemetry however many
 queries it answers: the span log keeps a window of whole traces, every
-event log is a ring, and a thread-mode worker's private event log holds
-only the query it is running.  These tests count objects, never time.
+event log is a ring, and a thread-mode worker keeps a private event log
+(holding only the query it is running) only when statistics mining
+reads it.  These tests count objects, never time.
 """
 
 from __future__ import annotations
@@ -54,17 +55,9 @@ def test_thread_mode_telemetry_stays_within_its_windows(
     per_trace = {len(spans.for_trace(t)) for t in spans.trace_ids()}
     assert len(per_trace) == 1  # same query, same tree shape, all whole
 
-    # A worker's log holds exactly the last query it ran.
-    handled = 0
-    for recorder in service.worker_recorders:
-        log = recorder.events
-        if log.emitted == 0:
-            continue
-        assert log.emitted % len(log) == 0
-        handled += log.emitted // len(log)
-        assert [e.type for e in log][0] == "run_start"
-        assert [e.type for e in log][-1] == "run_end"
-    assert handled == total
+    # Nothing reads worker events without statistics mining, so the
+    # workers keep no event log at all.
+    assert all(r.events is None for r in service.worker_recorders)
 
     # The service's own stream wrapped its ring without losing count.
     service_log = service.recorder.events
@@ -76,6 +69,38 @@ def test_thread_mode_telemetry_stays_within_its_windows(
         e for e in service_log.of_type("serve") if e["phase"] == "completed"
     ]
     assert completed[-1]["query"] == tickets[-1].seq
+
+
+def test_mining_worker_log_holds_only_its_current_query(dmv_federation):
+    service = MediatorService(
+        dmv_federation,
+        mode="threads",
+        workers=2,
+        queue_limit=32,
+        mine_statistics=True,
+    )
+    total = 12
+    tickets = []
+    try:
+        while len(tickets) < total:
+            tickets.extend(service.submit(DMV_SQL) for __ in range(4))
+            service.drain(timeout_s=60.0)
+    finally:
+        service.close()
+    assert all(t.items == DMV_FIG1_ANSWER for t in tickets)
+
+    # A worker's log holds exactly the last query it ran.
+    handled = 0
+    for recorder in service.worker_recorders:
+        log = recorder.events
+        assert log is not None
+        if log.emitted == 0:
+            continue
+        assert log.emitted % len(log) == 0
+        handled += log.emitted // len(log)
+        assert [e.type for e in log][0] == "run_start"
+        assert [e.type for e in log][-1] == "run_end"
+    assert handled == total
 
 
 def test_deterministic_replay_unchanged_by_the_window(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CostModelError
@@ -72,6 +74,14 @@ class TestTrafficLog:
 
     def test_elapsed_accumulates(self, log):
         assert log.total_elapsed_s > 0
+
+    def test_records_are_frozen_slotted_values(self, log):
+        record = log.records[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.cost = 0.0
+        assert not hasattr(record, "__dict__")
+        assert record == dataclasses.replace(record)
+        assert record != log.records[2]
 
 
 class TestLinkProfileFiniteness:
